@@ -239,16 +239,36 @@ class WorkerAgent:
         )
 
 
-def run_worker(config: WorkerConfig) -> int:
-    """Blocking CLI entry: work until SIGTERM/SIGINT (or idle exit)."""
-    agent = WorkerAgent(config)
+def stop_handler(agent: WorkerAgent):
+    """A SIGTERM/SIGINT handler that stops ``agent`` without blocking.
 
-    def _initiate(signum, _frame) -> None:
+    Python runs signal handlers on the main thread between bytecodes,
+    possibly while that thread sits inside ``agent._stop.wait(...)``
+    holding the Event's (non-reentrant) condition lock.  Calling
+    ``Event.set()`` from the handler's frame would then wait on that
+    lock for ever, so the handler hands the stop to a short-lived
+    helper thread and returns at once; the helper sets the event as
+    soon as the interrupted wait releases the lock.
+    """
+
+    def _stop(signum: int) -> None:
         logger.info(f"received signal {signum}: stopping worker")
         agent.stop()
 
-    signal.signal(signal.SIGTERM, _initiate)
-    signal.signal(signal.SIGINT, _initiate)
+    def _initiate(signum, _frame) -> None:
+        threading.Thread(
+            target=_stop, args=(signum,), name="cluster-stop", daemon=True
+        ).start()
+
+    return _initiate
+
+
+def run_worker(config: WorkerConfig) -> int:
+    """Blocking CLI entry: work until SIGTERM/SIGINT (or idle exit)."""
+    agent = WorkerAgent(config)
+    handler = stop_handler(agent)
+    signal.signal(signal.SIGTERM, handler)
+    signal.signal(signal.SIGINT, handler)
     agent.run()
     logger.info(
         f"worker done: {agent.shards_processed} shards, "

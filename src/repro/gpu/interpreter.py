@@ -422,10 +422,21 @@ def _h_i2f(interp, ctx, instr, mask_arr):
     )
 
 
+def f2i_vector(bits: np.ndarray) -> np.ndarray:
+    """F2I on lane bit patterns, to the PTX ``cvt.rzi.s32.f32`` contract.
+
+    Truncate toward zero, saturate to the int32 range, NaN to zero.  The
+    clamp runs in float64, where both int32 bounds are exact: float32
+    cannot hold 2**31 - 1, so a float32 clamp lets 2**31 through to wrap
+    in the int32 cast.
+    """
+    vals = np.trunc(bits.view(np.float32).astype(np.float64))
+    vals = np.clip(np.where(np.isnan(vals), 0.0, vals), -(2**31), 2**31 - 1)
+    return vals.astype(np.int32).view(np.uint32)
+
+
 def _h_f2i(interp, ctx, instr, mask_arr):
-    vals = np.trunc(interp._read(ctx, instr.srcs[0]).view(np.float32))
-    vals = np.nan_to_num(vals, nan=0.0, posinf=2**31 - 1, neginf=-(2**31))
-    return np.clip(vals, -(2**31), 2**31 - 1).astype(np.int32).view(np.uint32)
+    return f2i_vector(interp._read(ctx, instr.srcs[0]))
 
 
 def _int_binop_handler(fn):
@@ -522,14 +533,7 @@ def compute_vector(op: Op, *operands: np.ndarray) -> np.ndarray:
     if op is Op.I2F:
         return srcs[0].view(np.int32).astype(np.float32).view(np.uint32)
     if op is Op.F2I:
-        with np.errstate(all="ignore"):
-            vals = np.trunc(srcs[0].view(np.float32))
-            vals = np.nan_to_num(
-                vals, nan=0.0, posinf=2**31 - 1, neginf=-(2**31)
-            )
-        return (
-            np.clip(vals, -(2**31), 2**31 - 1).astype(np.int32).view(np.uint32)
-        )
+        return f2i_vector(srcs[0])
     raise ValueError(f"{op} is not a pure-arithmetic opcode")
 
 

@@ -13,8 +13,9 @@ dtype.  Float semantics operate on ``numpy`` *scalars* (``np.float32``)
 — the per-lane definition of an op like FDIV or FEXP is "the platform
 float32 routine applied to one value", and using numpy scalars keeps
 the reference bit-identical to the array kernels without re-deriving
-libm.  Values cross the boundary as raw ``uint32`` bit patterns in both
-directions.
+libm.  F2I is the exception: its contract is exact, so its lane is
+written from the PTX definition in Python floats and ints.  Values
+cross the boundary as raw ``uint32`` bit patterns in both directions.
 
 The hypothesis parity suite (``tests/test_vector_parity.py``) drives
 :func:`repro.gpu.interpreter.compute_vector` and
@@ -26,6 +27,9 @@ has not landed yet.
 """
 
 from __future__ import annotations
+
+import math
+import struct
 
 import numpy as np
 
@@ -156,26 +160,21 @@ def scalar_i2f(a: int) -> int:
 
 
 def scalar_f2i(a: int) -> int:
-    """One lane of F2I: truncate toward zero, saturate, NaN to zero."""
-    f = _f32(a)
-    if np.isnan(f):
+    """One lane of F2I, written from PTX ``cvt.rzi.s32.f32``.
+
+    Truncate toward zero, saturate to [-2**31, 2**31 - 1], NaN to zero.
+    Plain Python floats and ints throughout (a float32 widens exactly
+    to a Python float), so this shares no idiom with the array kernel
+    it checks.
+    """
+    (value,) = struct.unpack("<f", struct.pack("<I", a & MASK32))
+    if math.isnan(value):
         return 0
-    with np.errstate(all="ignore"):
-        value = float(np.trunc(f))
-    if value >= 2.0**31:
-        value = float(2**31 - 1)
-    elif value <= -(2.0**31):
-        value = float(-(2**31))
-    # Clip in float space exactly as the array kernel does: the upper
-    # int32 bound is not float32-representable, so a truncated value of
-    # 2**31 survives the clip and wraps through the int32 cast.
-    clipped = np.clip(np.float32(value), -(2**31), 2**31 - 1)
-    with np.errstate(all="ignore"):
-        return int(
-            np.asarray(clipped, dtype=np.float32)
-            .astype(np.int32)
-            .view(np.uint32)[()]
-        )
+    if value >= 2**31:
+        return 0x7FFF_FFFF
+    if value <= -(2**31):
+        return 0x8000_0000
+    return _u32(math.trunc(value))
 
 
 # ----------------------------------------------------------------------

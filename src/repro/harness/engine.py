@@ -9,20 +9,24 @@ An experiment is a *workload × config grid* plus a *pure reduction*:
   and a reduction turning the resulting grid of
   :class:`~repro.sim.result.RunResult` artifacts into an
   :class:`~repro.analysis.report.ExperimentResult` table;
-* :func:`evaluate` — the one engine that expands the grid, hands every
-  request to the :class:`~repro.sim.session.Session` (which dedupes,
-  caches, and optionally parallelizes), and applies the reduction.
+* :func:`evaluate` — the one engine: it expands every requested spec's
+  grid into one deduplicated request plan, resolves the whole plan with
+  a single :meth:`~repro.sim.session.Session.run_many` call (which
+  dedupes, caches, and fans misses over one worker pool, or one fleet
+  sweep), and only then applies each spec's reduction to the shared
+  result mapping.
 
-Because all execution funnels through the session, two experiments that
+Because all execution funnels through one plan, two experiments that
 share a (kernel, config) pair — e.g. the Figure 9 and Figure 14 baseline
-runs — share one simulation, and a warm on-disk cache re-renders any
-table without simulating at all.
+runs — share one simulation, no figure waits on another's slowest run,
+and a warm on-disk cache re-renders any table without simulating at all.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.analysis.report import ExperimentResult
 from repro.sim.result import RunResult
@@ -104,7 +108,7 @@ class ExperimentSpec:
     extended: bool = False
 
     def __call__(self, session: Session) -> ExperimentResult:
-        return evaluate(self, session)
+        return evaluate([self], session)[0]
 
     def resolve_benchmarks(self, session: Session) -> list[str]:
         if self.extended:
@@ -124,22 +128,47 @@ class ExperimentSpec:
         }
 
 
-def evaluate(spec: ExperimentSpec, session: Session) -> ExperimentResult:
-    """Expand ``spec``'s grid, run it through ``session``, reduce."""
-    requests = spec.requests(session)
-    results = session.run_many(requests.values()) if requests else {}
-    grid = ResultGrid(
-        benchmarks=spec.resolve_benchmarks(session),
-        results={
-            cell: results[request] for cell, request in requests.items()
-        },
-    )
-    result = spec.reduce(grid)
-    if result.exp_id != spec.exp_id:
-        raise ValueError(
-            f"reduction for {spec.exp_id!r} produced {result.exp_id!r}"
-        )
-    return result
+def evaluate(
+    specs: Sequence[ExperimentSpec], session: Session
+) -> list[ExperimentResult]:
+    """Plan every spec's grid, run the plan once, reduce each spec.
+
+    The plan is the union of all grids with identical requests
+    collapsed; ``session.run_many`` resolves it in one call, so cache
+    misses share one worker pool (or one fleet sweep) and no spec waits
+    on another.  Reductions run last, over the shared result mapping,
+    in ``specs`` order.  With a profiled session the plan is booked as
+    the ``plan`` phase and each reduction under its spec's ``exp_id``.
+    """
+    grids = [spec.requests(session) for spec in specs]
+    plan = list(dict.fromkeys(r for grid in grids for r in grid.values()))
+    with _phase(session, "plan"):
+        results = session.run_many(plan)
+    reduced = []
+    for spec, grid in zip(specs, grids):
+        with _phase(session, spec.exp_id):
+            result = spec.reduce(
+                ResultGrid(
+                    benchmarks=spec.resolve_benchmarks(session),
+                    results={
+                        cell: results[request]
+                        for cell, request in grid.items()
+                    },
+                )
+            )
+        if result.exp_id != spec.exp_id:
+            raise ValueError(
+                f"reduction for {spec.exp_id!r} produced {result.exp_id!r}"
+            )
+        reduced.append(result)
+    return reduced
+
+
+def _phase(session: Session, name: str):
+    """The session profiler's phase timer, or a no-op without one."""
+    if session.profiler is None:
+        return nullcontext()
+    return session.profiler.phase(name)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,16 @@ on-disk cache (``.repro-cache`` by default, override with
 ``--cache-dir`` or ``$REPRO_CACHE_DIR``) so re-rendering a figure
 against a warm cache performs zero simulations.
 
+**The paper is planned once.**  Every requested experiment is expanded
+into one deduplicated request plan (:func:`repro.harness.engine.evaluate`)
+that a single ``Session.run_many`` call resolves: one worker pool for
+the whole invocation at ``--jobs N > 1``, or one sweep on a fleet with
+``--cluster``.  There is no barrier between figures, and pool workers
+keep their warm per-process caches for the whole run.  Only then does
+each experiment's pure reduction run, and its table render.
+``--metrics-out`` books every simulation under one ``plan`` phase;
+each experiment's own phase holds just its reduction and its render.
+
 Parallelism knobs, disambiguated (they are easy to conflate):
 
 * ``--jobs N`` (this CLI) — *batch* parallelism: how many distinct
@@ -46,8 +56,10 @@ import sys
 import time
 
 from repro.harness.ablations import ABLATIONS
+from repro.harness.engine import evaluate
 from repro.harness.experiments import EXPERIMENTS
 from repro.harness.extensions import EXTENSIONS
+from repro.harness.sweeps import replay_spec, replayable
 from repro.kernels import benchmark_names
 from repro.obs.log import configure_logging, get_logger
 from repro.obs.profiler import HostProfiler
@@ -197,22 +209,21 @@ def main(argv: list[str] | None = None) -> int:
             max_workers=args.jobs,
             profiler=profiler,
         )
-    blocks = []
+    specs = []
     for exp_id in requested:
-        driver = ALL_DRIVERS[exp_id]
-        if args.replay_tier:
-            from repro.harness.engine import ExperimentSpec
-            from repro.harness.sweeps import replay_spec, replayable
+        spec = ALL_DRIVERS[exp_id]
+        if args.replay_tier and replayable(spec):
+            spec = replay_spec(spec)
+            logger.info(f"{exp_id}: replay tier (pricing from stored traces)")
+        specs.append(spec)
 
-            if isinstance(driver, ExperimentSpec) and replayable(driver):
-                driver = replay_spec(driver)
-                logger.info(
-                    f"{exp_id}: replay tier (pricing from stored traces)"
-                )
-        start = time.time()
-        logger.info(f"running {exp_id} ...")
-        with profiler.phase(exp_id):
-            result = driver(session)
+    start = time.time()
+    logger.info(f"planning {len(specs)} experiments ...")
+    results = evaluate(specs, session)
+    logger.info(f"  (plan and reductions: {time.time() - start:.1f}s)\n")
+    blocks = []
+    for result in results:
+        with profiler.phase(result.exp_id):
             text = result.render()
         if args.chart:
             from repro.analysis.plots import chart_experiment
@@ -220,7 +231,6 @@ def main(argv: list[str] | None = None) -> int:
             text += "\n\n" + chart_experiment(result)
         blocks.append(text)
         print(text, flush=True)
-        logger.info(f"  ({time.time() - start:.1f}s)\n")
 
     logger.info(
         f"session: {session.simulated} simulated, "

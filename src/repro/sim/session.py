@@ -31,6 +31,7 @@ so a policy sweep over a warm trace performs zero new simulations.
 
 from __future__ import annotations
 
+import logging
 import os
 import tempfile
 import time
@@ -364,12 +365,16 @@ class Session:
         """
         requests = list(dict.fromkeys(requests))
         out: dict[SimRequest, RunResult] = {}
+        # The key of every request that missed, aliases included.
+        missed: dict[SimRequest, str] = {}
         misses: dict[str, tuple[SimRequest, dict]] = {}
         for request in requests:
             key, material, hit = self.lookup(request)
             if hit is not None:
                 out[request] = hit
-            elif key in misses:
+                continue
+            missed[request] = key
+            if key in misses:
                 # Equivalent request already queued: alias after execution.
                 self.dedup_hits += 1
             else:
@@ -397,10 +402,9 @@ class Session:
                 result = self._execute(request, key)
                 self.store(key, material, result)
 
-        # Resolve every original request (including aliases) via the memo.
-        for request in requests:
-            if request not in out:
-                out[request] = self._memo[fingerprint(request.key_material())]
+        # Resolve every missed request (including aliases) via the memo.
+        for request, key in missed.items():
+            out[request] = self._memo[key]
         return out
 
     def _run_pool(self, misses: dict[str, tuple[SimRequest, dict]]) -> None:
@@ -576,6 +580,12 @@ class Session:
         return str(Path(self._tmp_trace_dir) / f"{key}.npz")
 
     def _log(self, request: SimRequest) -> None:
+        # ``verbose`` promotes the line to INFO (shown at the default log
+        # level); otherwise it is DEBUG-only detail.  The config diff
+        # below costs two GPUConfig builds, so skip it when unseen.
+        level = logging.INFO if self.verbose else logging.DEBUG
+        if not logger.isEnabledFor(level):
+            return
         config = request.gpu_config()
         default = GPUConfig()
         deltas = ""
@@ -590,9 +600,4 @@ class Session:
             f"  simulating {request.benchmark} [{request.policy}"
             f"{'' if request.timing else ', functional'}{deltas}]"
         )
-        # ``verbose`` promotes the line to INFO (shown at the default log
-        # level); otherwise it is DEBUG-only detail.
-        if self.verbose:
-            logger.info(message)
-        else:
-            logger.debug(message)
+        logger.log(level, message)

@@ -265,3 +265,18 @@ class TestDriverIntegration:
                      "--out", str(fleet_out)]
                 ) == 0
         assert fleet_out.read_bytes() == local_out.read_bytes()
+
+    def test_multi_figure_cluster_run_submits_one_sweep(self, tmp_path):
+        """Several figures on a fleet are one plan, so one sweep."""
+        from repro.harness.runner import main as runner_main
+
+        with EmbeddedCoordinator(cache_dir=str(tmp_path / "shared")) as coord:
+            with WorkerThread(coord, cache_dir=str(tmp_path / "w")):
+                assert runner_main(
+                    ["fig09", "fig13", "fig14", "--scale", "small",
+                     "--quiet", "--benchmarks", "lib", "pathfinder",
+                     "--cluster", f"{coord.host}:{coord.port}",
+                     "--cache-dir", str(tmp_path / "driver")]
+                ) == 0
+        assert coord.app.state.sweeps_submitted == 1
+        assert coord.app.state.put_dup == 0

@@ -92,7 +92,7 @@ class TestEngine:
             return ExperimentResult("wrong", "t", ["benchmark"])
 
         with pytest.raises(ValueError, match="produced 'wrong'"):
-            evaluate(bad, cache)
+            evaluate([bad], cache)
 
     def test_spec_is_callable_driver(self, cache):
         spec = EXPERIMENTS["table1"]

@@ -20,6 +20,8 @@ the two against each other bit-for-bit:
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -246,6 +248,54 @@ def test_shift_amounts_use_low_five_bits():
             vec = compute_vector(op, a, b)
             want = ref.scalar_int_binop(op, 0x8000_0001, amount)
             assert int(vec[0]) == want, (op, amount)
+
+
+#: F2I boundary cases from PTX ``cvt.rzi.s32.f32``: truncate toward
+#: zero, saturate to the int32 range, NaN to zero.  (float32 bits, int32
+#: bits), each expectation read off the contract, not an implementation.
+F2I_BOUNDARIES = [
+    (0x7F80_0000, 0x7FFF_FFFF),  # +inf      -> INT32_MAX
+    (0xFF80_0000, 0x8000_0000),  # -inf      -> INT32_MIN
+    (0x7FC0_0000, 0x0000_0000),  # NaN       -> 0
+    (0xFFC0_0000, 0x0000_0000),  # -NaN      -> 0
+    (0x4F32_D05E, 0x7FFF_FFFF),  # 3e9       -> INT32_MAX
+    (0xCF32_D05E, 0x8000_0000),  # -3e9      -> INT32_MIN
+    (0x4F00_0000, 0x7FFF_FFFF),  # 2**31     -> INT32_MAX
+    (0xCF00_0000, 0x8000_0000),  # -2**31    -> INT32_MIN, exactly
+    (0x4EFF_FFFF, 0x7FFF_FF80),  # 2**31-128 -> itself (largest < 2**31)
+    (0xCEFF_FFFF, 0x8000_0080),  # -(2**31-128) -> itself
+    (0x3F00_0000, 0x0000_0000),  # 0.5       -> 0
+    (0xBF00_0000, 0x0000_0000),  # -0.5      -> 0 (toward zero)
+]
+
+
+def test_f2i_boundaries_follow_the_ptx_contract():
+    """Scalar reference, array kernel and executed F2I agree with the spec.
+
+    Every lane carries one boundary case; any numpy cast warning (the
+    symptom of clamping in float32, which cannot hold 2**31 - 1) fails
+    the test.
+    """
+    cases = F2I_BOUNDARIES * (WARP // len(F2I_BOUNDARIES) + 1)
+    bits = np.array([a for a, _ in cases[:WARP]], dtype=np.uint32)
+    want = [w for _, w in cases[:WARP]]
+    kernel = Kernel(
+        name="f2i",
+        instructions=[
+            Instruction(op=Op.F2I, dst=Reg(1), srcs=(Reg(0),)),
+            Instruction(op=Op.EXIT),
+        ],
+        num_registers=2,
+    )
+    interp = Interpreter(WARP)
+    ctx = _single_warp_context(kernel)
+    ctx.registers[0] = bits.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert [ref.scalar_f2i(int(a)) for a in bits] == want
+        assert [int(v) for v in compute_vector(Op.F2I, bits)] == want
+        interp.apply(ctx, interp.execute(ctx))
+    assert [int(v) for v in ctx.registers[1]] == want
 
 
 # ----------------------------------------------------------------------

@@ -13,11 +13,17 @@ Typical use::
 
 :meth:`ServeClient.run` is the high-level path: submit, transparently
 re-submit on ``429`` backpressure (honouring ``Retry-After``), long-poll
-until terminal, fetch the :class:`~repro.sim.result.RunResult`.
+until terminal.  The server puts the
+:class:`~repro.sim.result.RunResult` in every ``done`` job view, so a
+cache hit costs one HTTP call (the submit) and a miss or coalesced
+request two (submit, then long-poll); ``GET /v1/jobs/<id>/result``
+stays available through :meth:`ServeClient.result`.  Each client counts
+its calls in :attr:`ServeClient.http_calls`.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import asdict
 
@@ -67,11 +73,16 @@ class ServeClient:
         self.host = host
         self.port = port
         self.timeout = timeout
+        #: HTTP round trips made through this client (any thread)
+        self.http_calls = 0
+        self._count_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Raw HTTP
     # ------------------------------------------------------------------
     def _call(self, method: str, path: str, body: dict | None = None):
+        with self._count_lock:
+            self.http_calls += 1
         return http_json_call(
             self.host, self.port, method, path, body, timeout=self.timeout
         )
@@ -145,7 +156,10 @@ class ServeClient:
         deadline: float = 600.0,
         on_backpressure=None,
     ) -> RunResult:
-        """Submit + wait + fetch, resubmitting politely under 429s.
+        """Submit + wait, resubmitting politely under 429s.
+
+        The result rides in the terminal job view, so there is no
+        separate fetch.
 
         ``on_backpressure`` (if given) is called with each
         :class:`Backpressure` before the client sleeps and retries —
@@ -169,7 +183,7 @@ class ServeClient:
             job = self.status(job["id"], wait=poll_wait)
         if job["state"] == "failed":
             raise JobFailed(200, job.get("error") or "job failed")
-        return self.result(job["id"])
+        return RunResult.from_dict(job["result"])
 
     def wait_ready(self, deadline: float = 10.0) -> bool:
         """Poll ``/healthz`` until the server answers (boot helper)."""

@@ -71,7 +71,9 @@ class Job:
     id: str
     key: str
     request: SimRequest
-    material: dict
+    #: the request's ``key_material()``, needed only to publish a
+    #: simulated result; released (``None``) once the job is terminal
+    material: dict | None
     priority: int = 0
     state: str = QUEUED
     #: how the result was produced: ``cache`` | ``simulated`` | ``""``
@@ -91,7 +93,11 @@ class Job:
         return self.state in TERMINAL
 
     def to_dict(self, include_result: bool = False) -> dict:
-        """JSON-safe status view (the server's job resource)."""
+        """JSON-safe status view (the server's job resource).
+
+        ``include_result`` adds the ``RunResult`` once there is one
+        (state ``done``); failed and unfinished jobs never carry it.
+        """
         payload = {
             "id": self.id,
             "key": self.key,
@@ -297,11 +303,8 @@ class JobScheduler:
             self.cache_hits.inc()
             job.source = "cache"
             job.result = hit
-            job.state = DONE
-            job.finished_at = time.time()
+            self._settle(job, DONE)
             self.jobs[job.id] = job
-            self.completed.inc()
-            self.latency.observe(job.finished_at - job.submitted_at)
             return job, False
 
         try:
@@ -411,11 +414,8 @@ class JobScheduler:
                 )
                 continue
             return
-        job.state = FAILED
         job.error = last_error
-        job.finished_at = time.time()
-        self.inflight.pop(job.key, None)
-        self.failures.inc()
+        self._settle(job, FAILED)
 
     def _finish(self, job: Job, payload: dict) -> None:
         result = RunResult.from_dict(payload["result"])
@@ -431,8 +431,21 @@ class JobScheduler:
         self.session.store(job.key, job.material, result)
         job.source = "simulated"
         job.result = result
-        job.state = DONE
+        self._settle(job, DONE)
+
+    def _settle(self, job: Job, state: str) -> None:
+        """Terminal transition: stamp, count, release key material.
+
+        Every finished job stays listed in :attr:`jobs` for the life of
+        the server, so it must not keep the full ``key_material()``
+        (a whole ``GPUConfig``) once nothing will publish with it.
+        """
+        job.state = state
         job.finished_at = time.time()
+        job.material = None
         self.inflight.pop(job.key, None)
-        self.completed.inc()
-        self.latency.observe(job.finished_at - job.submitted_at)
+        if state == DONE:
+            self.completed.inc()
+            self.latency.observe(job.finished_at - job.submitted_at)
+        else:
+            self.failures.inc()

@@ -126,6 +126,8 @@ class LoadReport:
     ok: int = 0
     failed: int = 0
     backpressure_retries: int = 0
+    #: HTTP calls the request clients made (metrics scrape excluded)
+    http_calls: int = 0
     duration_s: float = 0.0
     latencies_s: list[float] = field(default_factory=list)
     errors: list[str] = field(default_factory=list)
@@ -143,6 +145,7 @@ class LoadReport:
             "ok": self.ok,
             "failed": self.failed,
             "backpressure_retries": self.backpressure_retries,
+            "http_calls": self.http_calls,
             "distinct_keys": self.distinct_keys,
             "duration_s": self.duration_s,
             "throughput_rps": self.throughput_rps,
@@ -196,9 +199,9 @@ def run_loadgen(
 
     def _measure(item: dict) -> None:
         shed = []
+        local = ServeClient(host, port)
         start = time.perf_counter()
         try:
-            local = ServeClient(host, port)
             local.run(
                 item,
                 spec.priority,
@@ -210,10 +213,12 @@ def run_loadgen(
                 report.ok += 1
                 report.latencies_s.append(elapsed)
                 report.backpressure_retries += len(shed)
+                report.http_calls += local.http_calls
         except Exception as exc:  # noqa: BLE001 - tallied, not raised
             with lock:
                 report.failed += 1
                 report.backpressure_retries += len(shed)
+                report.http_calls += local.http_calls
                 report.errors.append(
                     f"{item['benchmark']}: {type(exc).__name__}: {exc}"
                 )

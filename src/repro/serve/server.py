@@ -6,16 +6,19 @@ exposes the :class:`~repro.serve.jobs.JobScheduler` as a service:
 
 ====== ============================ =====================================
 POST   ``/v1/jobs``                 submit a ``SimRequest`` (JSON body);
-                                    ``200`` cached result, ``202``
+                                    ``200`` cache hit, its ``job``
+                                    carrying the ``result``; ``202``
                                     queued/coalesced, ``400`` bad
                                     request, ``429`` + ``Retry-After``
                                     backpressure, ``503`` draining
-GET    ``/v1/jobs``                 list job summaries
-GET    ``/v1/jobs/<id>``            job status; ``?wait=S`` long-polls
+GET    ``/v1/jobs``                 list job summaries (never results)
+GET    ``/v1/jobs/<id>``            job status, with the ``result`` once
+                                    ``done``; ``?wait=S`` long-polls
                                     until terminal (max S seconds)
-GET    ``/v1/jobs/<id>/result``     the ``RunResult`` artifact (``409``
-                                    until the job is terminal)
+GET    ``/v1/jobs/<id>/result``     the ``RunResult`` artifact alone
+                                    (``409`` until the job is terminal)
 GET    ``/v1/jobs/<id>/events``     server-sent-events status stream
+                                    (summaries, no result)
 GET    ``/v1/metrics``              scheduler + session cache metrics
                                     (``/metrics`` is an alias)
 GET    ``/healthz``                 liveness / drain state
@@ -30,6 +33,12 @@ Submission body::
 
 ``request`` accepts every :class:`~repro.sim.session.SimRequest` field;
 ``config_overrides`` as a ``{name: value}`` object.
+
+Wire rule: a job view in state ``done`` carries its ``RunResult`` under
+``job.result``, in the submit response and in ``GET /v1/jobs/<id>``
+with or without ``?wait``.  A client therefore answers a hit in one
+round trip and a miss in two (submit, long-poll).  ``failed`` jobs and
+the job list carry none.
 """
 
 from __future__ import annotations
@@ -334,7 +343,7 @@ class ServeApp:
         await self._respond(
             writer,
             status,
-            {"job": job.to_dict(), "coalesced": coalesced},
+            {"job": job.to_dict(include_result=True), "coalesced": coalesced},
         )
 
     async def _job_resource(self, writer, method, path, query) -> None:
@@ -355,7 +364,9 @@ class ServeApp:
                 except ValueError as exc:
                     raise BadRequest("wait must be a number") from exc
                 await self.scheduler.wait(job, timeout)
-            await self._respond(writer, 200, {"job": job.to_dict()})
+            await self._respond(
+                writer, 200, {"job": job.to_dict(include_result=True)}
+            )
             return
         if sub == "result":
             if not job.terminal:

@@ -410,13 +410,14 @@ class Session:
     def _run_pool(self, misses: dict[str, tuple[SimRequest, dict]]) -> None:
         """Fan cache misses across worker processes with progress beats."""
         with ProcessPoolExecutor(max_workers=self.max_workers) as pool:
-            futures = {
-                pool.submit(
+            futures = {}
+            for key, (request, material) in misses.items():
+                future = pool.submit(
                     _pool_simulate,
                     (request, self._trace_destination(request, key)),
-                ): (key, request, material)
-                for key, (request, material) in misses.items()
-            }
+                )
+                futures[future] = (key, request, material)
+                self._log(request)
             done = 0
             for future in as_completed(futures):
                 key, request, material = futures[future]
@@ -432,7 +433,6 @@ class Session:
                     self.profiler.heartbeat(
                         done, len(futures), label=request.benchmark
                     )
-                self._log(request)
                 self.store(key, material, result)
 
     # Convenience wrappers mirroring the retired SimulationCache API.

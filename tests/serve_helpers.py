@@ -9,7 +9,6 @@ this process, so ``SIM_COUNTER`` deltas stay observable.
 from __future__ import annotations
 
 import asyncio
-import concurrent.futures
 import threading
 
 from repro.serve.client import ServeClient
@@ -44,23 +43,32 @@ class EmbeddedServer:
         return self
 
     def __exit__(self, *exc_info) -> None:
+        future = None
         if (
             self._loop is not None
             and self.app is not None
             and not self._loop.is_closed()
         ):
+            shutdown = self.app.shutdown(drain=True)
             try:
                 future = asyncio.run_coroutine_threadsafe(
-                    self.app.shutdown(drain=True), self._loop
+                    shutdown, self._loop
                 )
-                future.result(30)
-            except (RuntimeError, concurrent.futures.CancelledError):
-                # Loop closed mid-flight (server-initiated drain) — either
-                # scheduling fails outright or the pending shutdown call
-                # is cancelled when the loop stops first.
-                pass
+            except RuntimeError:
+                shutdown.close()  # loop closed since the check
         if self._thread is not None:
-            self._thread.join(10)
+            # The serving thread ends once either shutdown completes: a
+            # server-initiated drain can close the loop before it ever
+            # runs ours, leaving that future pending for good.
+            self._thread.join(40)
+            if self._thread.is_alive():
+                raise RuntimeError("embedded server did not stop")
+        if future is None:
+            return
+        if not future.done():
+            shutdown.close()  # never started: the loop closed first
+        elif not future.cancelled():
+            future.result()  # surface a failed shutdown
 
     def _main(self) -> None:
         async def serve() -> None:

@@ -317,3 +317,79 @@ class TestDrain:
         jobs = asyncio.run(drive())
         assert all(job.state == DONE for job in jobs)
         assert not scheduler.inflight
+
+
+class TestKeyMaterialRelease:
+    """Finished jobs stay listed for the server's life, so every
+    terminal transition drops the job's ``key_material()``; a job keeps
+    it while it can still publish a result (queued, retrying)."""
+
+    def test_cache_hit_holds_no_material(self):
+        session = Session(scale="small", use_disk_cache=False)
+        request = functional_request()
+        session.run(request)
+        scheduler = thread_scheduler(session, workers=1)
+
+        async def drive():
+            job, _ = await scheduler.submit(request)
+            await scheduler.close()
+            return job
+
+        job = asyncio.run(drive())
+        assert job.source == "cache"
+        assert job.material is None
+
+    def test_simulated_finish_releases_material(self):
+        session = Session(scale="small", use_disk_cache=False)
+        scheduler = thread_scheduler(session, workers=1)
+
+        async def drive():
+            job, _ = await scheduler.submit(functional_request())
+            queued = job.material
+            scheduler.start()
+            await scheduler.wait(job, timeout=30)
+            await scheduler.close()
+            return job, queued
+
+        job, queued = asyncio.run(drive())
+        assert queued == functional_request().key_material()
+        assert job.state == DONE and job.source == "simulated"
+        assert job.material is None
+        # The material reached the session before it was dropped.
+        _, _, hit = session.lookup(functional_request())
+        assert hit is not None
+
+    def test_retries_keep_material_until_final_failure(self):
+        session = Session(scale="small", use_disk_cache=False)
+        held = []
+
+        def failing(request):
+            held.extend(
+                job.material is not None
+                for job in scheduler.jobs.values()
+            )
+            future = concurrent.futures.Future()
+            future.set_exception(RuntimeError("boom"))
+            return future
+
+        scheduler = JobScheduler(
+            session,
+            failing,
+            workers=1,
+            job_timeout=5,
+            max_retries=2,
+            backoff_base=0.01,
+            metrics=MetricRegistry(enabled=True),
+        )
+
+        async def drive():
+            scheduler.start()
+            job, _ = await scheduler.submit(functional_request())
+            await scheduler.wait(job, timeout=10)
+            await scheduler.close()
+            return job
+
+        job = asyncio.run(drive())
+        assert job.state == FAILED
+        assert held == [True, True, True]  # every attempt still had it
+        assert job.material is None

@@ -13,6 +13,7 @@ Covers the three pillars of the single-run discipline:
 """
 
 import json
+import logging
 from collections import Counter
 
 import numpy as np
@@ -24,6 +25,8 @@ from repro.analysis.stats import TimingStats, ValueStats
 from repro.core.codec import CompressionMode
 from repro.gpu.trace import RegisterTrace, replay_trace
 from repro.harness.experiments import fig03, fig09, fig14
+from repro.obs.log import get_logger
+from repro.obs.profiler import HostProfiler
 from repro.sim import (
     SIM_COUNTER,
     ResultCache,
@@ -375,3 +378,33 @@ class TestParallel:
         assert ResultCache(tmp_path / "cache") and len(
             ResultCache(tmp_path / "cache")
         ) == len(requests)
+
+    def test_pool_logs_each_run_before_its_heartbeat(
+        self, caplog, monkeypatch
+    ):
+        # The ``repro`` logger stops propagation once configured; let
+        # caplog's root handler see its records.
+        monkeypatch.setattr(get_logger(), "propagate", True)
+        caplog.set_level(logging.INFO, logger="repro")
+        names = ("lib", "pathfinder", "hotspot")
+        session = Session(
+            scale="small",
+            verbose=True,
+            use_disk_cache=False,
+            max_workers=2,
+            profiler=HostProfiler(heartbeat_every=1),
+        )
+        session.run_many(
+            [SimRequest(name, scale="small", timing=False) for name in names]
+        )
+        messages = [record.getMessage() for record in caplog.records]
+        for name in names:
+            started = messages.index(
+                f"  simulating {name} [warped, functional]"
+            )
+            beat = next(
+                i for i, message in enumerate(messages)
+                if message.startswith("  [")
+                and message.endswith(f"— {name}")
+            )
+            assert started < beat, messages
